@@ -184,7 +184,8 @@ def sample_matrix(
     (Algorithm 4) or ``"batched"`` (Algorithm 4 evaluated level by level
     with the vectorized kernels of the
     :class:`~repro.core.engine.SamplerEngine`: ``O(log p * log p')`` NumPy
-    calls instead of ``p * p'`` scalar Python calls); all three produce the
+    calls instead of ``p * p'`` scalar Python calls, over a tree index plan
+    built once per width and reused); all three produce the
     same distribution.  ``kernels`` selects the kernel tier of the
     ``"batched"`` strategy (see :mod:`repro.core.kernels`; bit-identical
     across tiers); the scalar strategies draw one variate at a time and

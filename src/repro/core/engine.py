@@ -20,7 +20,10 @@ consolidates both concerns:
   distribution into independent draws per tree level -- Proposition 6).
   A ``P x P'`` matrix thus costs ``O(log P * log P')`` NumPy kernel calls
   instead of ``P * P'`` interpreted Python calls, which is the hot path of
-  Algorithm 6's step 3 and of the sequential baseline.
+  Algorithm 6's step 3 and of the sequential baseline.  The tree's index
+  plan depends only on its width, so :func:`_split_plan` builds it once per
+  width and every later call reuses it: a level is a few index gathers and
+  scatters on one preallocated array.
 
 The batched path samples from exactly the same distribution as the scalar
 samplers (every split is an exact hypergeometric draw; the factorisation is
@@ -30,6 +33,8 @@ equally valid -- matrices.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -61,6 +66,33 @@ def _kernel_rng(rng) -> "np.random.Generator":
             "kernels need a numpy Generator or a CountingRNG wrapper"
         )
     return rng
+
+
+@functools.lru_cache(maxsize=128)
+def _split_plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Index plan of the balanced splitting tree over ``n`` leaves, built once per ``n``.
+
+    One ``(los, mids, his)`` triple per tree level lists, in increasing
+    order, the segments ``[lo, hi)`` that split at that level into
+    ``[lo, mid)`` and ``[mid, hi)`` with ``mid = (lo + hi) // 2``.  A state
+    array indexed by segment start needs nothing else: a split leaves its
+    left part at ``lo`` and writes its right part at ``mid``, segments that
+    do not split keep their slot, and after the last level slot ``i`` holds
+    leaf ``i``.  The arrays are shared between calls and read-only.
+    """
+    levels = []
+    los, his = np.array([0]), np.array([n])
+    while True:
+        split = his - los > 1
+        los, his = los[split], his[split]
+        if los.size == 0:
+            return tuple(levels)
+        mids = (los + his) // 2
+        for a in (los, mids, his):
+            a.setflags(write=False)
+        levels.append((los, mids, his))
+        los = np.column_stack([los, mids]).ravel()
+        his = np.column_stack([mids, his]).ravel()
 
 
 class SamplerEngine:
@@ -218,7 +250,8 @@ class SamplerEngine:
         share the balanced binary splitting tree over the ``L`` classes, so
         every tree level costs one vectorized ``Generator.hypergeometric``
         call covering all batch rows and all same-level segments at once:
-        ``O(log L)`` kernel calls in total.
+        ``O(log L)`` kernel calls in total.  The tree's index plan is built
+        once per ``L`` and reused (see :func:`_split_plan`).
         """
         self._check_batched_method()
         sizes = np.asarray(class_sizes, dtype=np.int64)
@@ -243,42 +276,18 @@ class SamplerEngine:
         if compiled is not None:
             return compiled
 
-        counts = np.zeros((n_batch, n_classes), dtype=np.int64)
         prefix = np.zeros((n_batch, n_classes + 1), dtype=np.int64)
         np.cumsum(sizes, axis=1, out=prefix[:, 1:])
-
-        # Every batch row shares the segment structure (same L), so segments
-        # are tracked once and the per-segment draw counts are (B, S) columns.
-        segments = [(0, n_classes)]
-        seg_draws = draws.reshape(n_batch, 1)
-        while any(hi - lo > 1 for lo, hi in segments):
-            split_idx = [i for i, (lo, hi) in enumerate(segments) if hi - lo > 1]
-            los = np.array([segments[i][0] for i in split_idx])
-            his = np.array([segments[i][1] for i in split_idx])
-            mids = (los + his) // 2
-            left_totals = prefix[:, mids] - prefix[:, los]
-            right_totals = prefix[:, his] - prefix[:, mids]
-            split_draws = seg_draws[:, split_idx]
-            into_left = self._hypergeometric_block(rng, left_totals, right_totals, split_draws)
-
-            new_segments: list[tuple[int, int]] = []
-            new_draw_cols: list[np.ndarray] = []
-            j = 0
-            for i, (lo, hi) in enumerate(segments):
-                if hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    new_segments.append((lo, mid))
-                    new_draw_cols.append(into_left[:, j])
-                    new_segments.append((mid, hi))
-                    new_draw_cols.append(split_draws[:, j] - into_left[:, j])
-                    j += 1
-                else:
-                    new_segments.append((lo, hi))
-                    new_draw_cols.append(seg_draws[:, i])
-            segments = new_segments
-            seg_draws = np.stack(new_draw_cols, axis=1)
-        for i, (lo, _hi) in enumerate(segments):
-            counts[:, lo] = seg_draws[:, i]
+        # Column lo holds the draws of the segment starting at class lo.
+        counts = np.zeros((n_batch, n_classes), dtype=np.int64)
+        counts[:, 0] = draws
+        for los, mids, his in _split_plan(n_classes):
+            split_draws = counts[:, los]
+            into_left = self._hypergeometric_block(
+                rng, prefix[:, mids] - prefix[:, los], prefix[:, his] - prefix[:, mids], split_draws
+            )
+            counts[:, los] = into_left
+            counts[:, mids] = split_draws - into_left
         return counts
 
     def multivariate(self, n_draws: int, class_sizes, rng=None) -> np.ndarray:
@@ -296,7 +305,8 @@ class SamplerEngine:
         Algorithm 4; each split's multivariate draw uses the balanced
         column-splitting factorisation), evaluated level by level so that
         every level of the row tree costs ``O(log P')`` vectorized NumPy
-        calls over all same-level blocks at once.
+        calls over all same-level blocks at once.  The row and column trees'
+        index plans are built once per width and reused across calls.
         """
         self._check_batched_method()
         rows = check_vector_of_nonnegative_ints(row_sums, "row_sums")
@@ -311,35 +321,14 @@ class SamplerEngine:
             return compiled
 
         row_prefix = np.concatenate([[0], np.cumsum(rows)])
-        # One block per current row range; caps[i] holds the column capacities
-        # reserved for block i.  All blocks at one level split simultaneously.
-        blocks = [(0, rows.size)]
-        caps = cols.reshape(1, -1).astype(np.int64)
-        while any(hi - lo > 1 for lo, hi in blocks):
-            split_idx = [i for i, (lo, hi) in enumerate(blocks) if hi - lo > 1]
-            mids = np.array([(blocks[i][0] + blocks[i][1]) // 2 for i in split_idx])
-            his = np.array([blocks[i][1] for i in split_idx])
-            upper_masses = row_prefix[his] - row_prefix[mids]
-            to_up = self.multivariate_batch(upper_masses, caps[split_idx], rng)
-
-            new_blocks: list[tuple[int, int]] = []
-            new_caps: list[np.ndarray] = []
-            j = 0
-            for i, (lo, hi) in enumerate(blocks):
-                if hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    new_blocks.append((lo, mid))
-                    new_caps.append(caps[i] - to_up[j])
-                    new_blocks.append((mid, hi))
-                    new_caps.append(to_up[j])
-                    j += 1
-                else:
-                    new_blocks.append((lo, hi))
-                    new_caps.append(caps[i])
-            blocks = new_blocks
-            caps = np.stack(new_caps, axis=0)
-        for i, (lo, _hi) in enumerate(blocks):
-            matrix[lo, :] = caps[i]
+        # Row lo holds the column capacities reserved for the block of rows
+        # starting at lo.  All blocks at one level split simultaneously.
+        matrix[0] = cols
+        for los, mids, his in _split_plan(rows.size):
+            caps = matrix[los]
+            to_up = self.multivariate_batch(row_prefix[his] - row_prefix[mids], caps, rng)
+            matrix[los] = caps - to_up
+            matrix[mids] = to_up
         return matrix
 
 

@@ -65,7 +65,8 @@ def resolve_tile_strategy(tile_strategy: str, method: str) -> str:
 
     The batched :class:`~repro.core.engine.SamplerEngine` kernels are the
     default hot path (``O(log p * log p')`` vectorized NumPy calls instead
-    of ``p * p'`` scalar Python calls, same law -- the statistical suite is
+    of ``p * p'`` scalar Python calls over a splitting-tree index plan built
+    once per width and reused, same law -- the statistical suite is
     calibrated against them), but they always draw through NumPy's
     vectorized sampler; when the caller explicitly requests a scalar method
     (``"hin"``/``"hrua"``), ``"auto"`` falls back to the sequential tile

@@ -646,6 +646,14 @@ class ProcessBackend(ExecutionBackend):
             self._shared_pools.discard(n_procs)
         return pool
 
+    def serving_transport(self, n_procs: int):
+        """The transport instance the parent encodes through on ``n_procs`` ranks.
+
+        A pool borrowed from the default cache keeps its spawner's instance.
+        """
+        pool = self._pools.get(n_procs) if self.persistent else None
+        return self.transport if pool is None else pool.fabric.transport
+
     def close(self) -> None:
         """Shut down every backend-private worker pool (idempotent).
 

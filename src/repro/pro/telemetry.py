@@ -215,7 +215,8 @@ class FleetReport:
     def from_run(cls, machine: Any, result: Any, events: list[dict]) -> "FleetReport":
         """Merge one :class:`~repro.pro.machine.RunResult` into a report."""
         backend = machine.backend
-        transport = getattr(backend, "transport", None)
+        serving = getattr(backend, "serving_transport", None)
+        transport = serving(result.n_procs) if serving else getattr(backend, "transport", None)
         stats = getattr(transport, "stats", None)
         report = result.cost_report
         ranks = []

@@ -1,5 +1,7 @@
 """Unit tests for the SamplerEngine (method dispatch + batched kernels)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -7,7 +9,7 @@ from scipy import stats as scipy_stats
 from repro.core import commmatrix as cm
 from repro.core import hypergeometric as hg
 from repro.core import multivariate as mv
-from repro.core.engine import VALID_METHODS, SamplerEngine, get_engine
+from repro.core.engine import VALID_METHODS, SamplerEngine, _split_plan, get_engine
 from repro.rng.counting import CountingRNG
 from repro.util.errors import ValidationError
 
@@ -174,6 +176,23 @@ class TestBatchedMatrix:
         with pytest.raises(ValidationError, match="batched"):
             get_engine(method).multivariate_batch([3], [[2, 4]], np.random.default_rng(0))
 
+    def test_split_plan_matches_the_balanced_tree(self):
+        for n in range(1, 301):
+            plan = _split_plan(n)
+            # Segment start -> end; the plan's slot semantics keep a segment
+            # at its start and put a split's right part at its mid.
+            ends = {0: n}
+            for los, mids, his in plan:
+                splitting = sorted(lo for lo, hi in ends.items() if hi - lo > 1)
+                assert los.tolist() == splitting
+                assert his.tolist() == [ends[lo] for lo in splitting]
+                assert np.array_equal(mids, (los + his) // 2)
+                for lo, mid, hi in zip(los.tolist(), mids.tolist(), his.tolist()):
+                    ends[lo], ends[mid] = mid, hi
+            assert sorted(ends.items()) == [(i, i + 1) for i in range(n)]
+            assert len(plan) == (n - 1).bit_length()
+            assert _split_plan(n) is plan
+
     def test_counting_rng_charges_vectorized_draws(self):
         rng = CountingRNG(np.random.default_rng(0))
         rows = cols = np.full(8, 20, dtype=np.int64)
@@ -181,3 +200,204 @@ class TestBatchedMatrix:
         # Every nontrivial split consumes one variate; an 8x8 matrix needs
         # far more than the handful of vectorized calls that produce them.
         assert rng.uniforms_drawn > 8
+
+
+# ---------------------------------------------------------------------------
+# Golden values: the NumPy-tier batched stream, pinned across commits
+# ---------------------------------------------------------------------------
+def _spread(total, width):
+    """``total`` split as evenly as possible over ``width`` classes."""
+    out = np.full(width, total // width, dtype=np.int64)
+    out[: total % width] += 1
+    return out
+
+
+def _skewed(width, k):
+    """Deterministic uneven marginal (no RNG involved, so it never drifts)."""
+    return np.array([((i * 7919 + k) % 97) * (1 + i % 5) for i in range(width)], dtype=np.int64)
+
+
+def _square(width, k):
+    rows = _skewed(width, k)
+    return rows, _spread(int(rows.sum()), width)
+
+
+#: name -> (row_sums, col_sums, seed) for ``sample_matrix_batched``.
+_MATRIX_CASES = {
+    "w1": ([7], [7], 1),
+    "w2": ([3, 5], [4, 4], 2),
+    **{f"w{w}": (*_square(w, w), w) for w in (3, 5, 7, 64, 256)},
+    "rect3x5": (_skewed(3, 4), _spread(int(_skewed(3, 4).sum()), 5), 11),
+    "zero-rows": ([0, 6, 0, 0, 9, 0, 2], [5, 4, 8], 12),
+    "zero-capacities": ([4, 5, 6, 7, 8], [0, 15, 0, 0, 15, 0], 13),
+    "trivial-heavy": ([0, 1, 0, 0, 1, 30, 0, 1], [0, 2, 31, 0, 0], 14),
+    "empty": ([], [], 15),
+}
+
+
+def _batch_case(batch, width, k):
+    sizes = np.array([_skewed(width, k + r) for r in range(batch)], dtype=np.int64)
+    return sizes.sum(axis=1) * (k % 3 + 1) // 4, sizes
+
+
+#: name -> (n_draws, class_sizes, seed) for ``multivariate_batch``.
+_BATCH_CASES = {
+    **{f"w{w}": (*_batch_case(4, w, w), 100 + w) for w in (1, 2, 3, 5, 7, 64, 256)},
+    "zero-rows": (np.zeros(0, dtype=np.int64), np.zeros((0, 5), dtype=np.int64), 120),
+    "zero-capacities": ([3, 0, 5], [[0, 3, 0, 0], [0, 0, 0, 0], [4, 0, 5, 0]], 121),
+    "trivial-heavy": ([0, 12, 1, 6, 2], [[5, 7], [5, 7], [0, 1], [6, 0], [3, 4]], 122),
+}
+
+
+def _golden_digest(out):
+    """Literal nested list for small results, sha256 of the bytes otherwise."""
+    out = np.asarray(out)
+    if out.size <= 64:
+        return out.tolist()
+    return hashlib.sha256(out.astype("<i8").tobytes()).hexdigest()
+
+
+def _golden_run(kind, name):
+    engine = get_engine(kernels="numpy")
+    if kind == "matrix":
+        rows, cols, seed = _MATRIX_CASES[name]
+        rng = CountingRNG(np.random.default_rng(seed))
+        out = engine.sample_matrix_batched(rows, cols, rng)
+    else:
+        draws, sizes, seed = _BATCH_CASES[name]
+        rng = CountingRNG(np.random.default_rng(seed))
+        out = engine.multivariate_batch(draws, sizes, rng)
+    return _golden_digest(out), rng.uniforms_drawn, rng.calls
+
+
+#: (kind, case) -> (digest, CountingRNG uniforms, CountingRNG calls),
+#: generated once from the batched sampler before its level loops were
+#: rebuilt around the cached split plan.
+_GOLDEN = {
+    ("matrix", "w1"): ([[7]], 0, 0),
+    ("matrix", "w2"): ([[2, 1], [2, 3]], 1, 1),
+    ("matrix", "w3"): ([[2, 1, 0], [48, 45, 37], [25, 28, 37]], 4, 4),
+    ("matrix", "w5"): (
+        [
+            [2, 0, 0, 1, 2],
+            [31, 27, 23, 27, 26],
+            [16, 19, 15, 23, 23],
+            [69, 85, 79, 73, 70],
+            [64, 50, 64, 57, 60],
+        ],
+        16, 9,
+    ),
+    ("matrix", "w7"): (
+        [
+            [2, 2, 1, 2, 0, 0, 0],
+            [18, 21, 22, 16, 21, 21, 19],
+            [15, 11, 22, 17, 11, 13, 13],
+            [65, 56, 51, 44, 58, 51, 59],
+            [36, 43, 34, 55, 49, 42, 46],
+            [2, 2, 7, 6, 2, 4, 3],
+            [25, 28, 26, 23, 21, 31, 22],
+        ],
+        35, 9,
+    ),
+    ("matrix", "w64"): (
+        "4d3a5824be729824229f5f4ab9450c80549d2cac7d80d16bb9fc4bd799962ac7",
+        3472, 36,
+    ),
+    ("matrix", "w256"): (
+        "298f78167722ed40b03f67e98993499c8aebc1afa73c0815cc74e95d8ec8bb78",
+        42095, 64,
+    ),
+    ("matrix", "rect3x5"): (
+        [
+            [0, 2, 0, 1, 1],
+            [27, 25, 29, 26, 25],
+            [19, 19, 17, 19, 19],
+        ],
+        8, 6,
+    ),
+    ("matrix", "zero-rows"): (
+        [
+            [0, 0, 0],
+            [2, 3, 1],
+            [0, 0, 0],
+            [0, 0, 0],
+            [2, 0, 7],
+            [0, 0, 0],
+            [1, 1, 0],
+        ],
+        4, 4,
+    ),
+    ("matrix", "zero-capacities"): (
+        [
+            [0, 3, 0, 0, 1, 0],
+            [0, 1, 0, 0, 4, 0],
+            [0, 3, 0, 0, 3, 0],
+            [0, 2, 0, 0, 5, 0],
+            [0, 6, 0, 0, 2, 0],
+        ],
+        4, 3,
+    ),
+    ("matrix", "trivial-heavy"): (
+        [
+            [0, 0, 0, 0, 0],
+            [0, 1, 0, 0, 0],
+            [0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0],
+            [0, 0, 1, 0, 0],
+            [0, 1, 29, 0, 0],
+            [0, 0, 0, 0, 0],
+            [0, 0, 1, 0, 0],
+        ],
+        3, 3,
+    ),
+    ("matrix", "empty"): ([], 0, 0),
+    ("batch", "w1"): ([[0], [1], [1], [2]], 0, 0),
+    ("batch", "w2"): ([[0, 97], [3, 96], [3, 99], [4, 100]], 4, 1),
+    ("batch", "w3"): ([[0, 31, 24], [3, 33, 21], [1, 36, 21], [3, 35, 22]], 8, 2),
+    ("batch", "w5"): (
+        [
+            [3, 101, 81, 275, 219],
+            [5, 108, 73, 286, 218],
+            [4, 104, 75, 295, 224],
+            [7, 107, 84, 0, 224],
+        ],
+        15, 3,
+    ),
+    ("batch", "w7"): (
+        [
+            [1, 75, 47, 195, 144, 15, 92],
+            [3, 75, 54, 0, 156, 10, 86],
+            [5, 66, 48, 2, 159, 16, 97],
+            [4, 57, 56, 2, 168, 13, 102],
+        ],
+        23, 3,
+    ),
+    ("batch", "w64"): (
+        "1310eebe5ae85b783fbcbc563ab0fe3aa29ac5b7804e2fb417200e9920b6f70f",
+        249, 6,
+    ),
+    ("batch", "w256"): (
+        "cdb321c565cfaa02bbcc136fbf05bdc7a3996b3b89f9fa79263acdda8320f828",
+        1010, 8,
+    ),
+    ("batch", "zero-rows"): ([], 0, 0),
+    ("batch", "zero-capacities"): (
+        [
+            [0, 3, 0, 0],
+            [0, 0, 0, 0],
+            [2, 0, 3, 0],
+        ],
+        1, 1,
+    ),
+    ("batch", "trivial-heavy"): ([[0, 0], [5, 7], [0, 1], [6, 0], [1, 1]], 1, 1),
+}
+
+
+class TestBatchedStreamGolden:
+    """Fixed seeds keep yielding the same matrices and the same variate counts."""
+
+    @pytest.mark.parametrize(
+        "kind,name", [("matrix", n) for n in _MATRIX_CASES] + [("batch", n) for n in _BATCH_CASES]
+    )
+    def test_stream_is_pinned(self, kind, name):
+        assert _golden_run(kind, name) == _GOLDEN[kind, name]

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.permutation import random_permutation
+from repro.pro.backends.pool import clear_default_pools, default_pools
 from repro.pro.machine import PROMachine, resolve_machine
 from repro.pro.telemetry import (
     EVENT_KINDS,
@@ -168,6 +169,25 @@ class TestProcessRepatriation:
         # The fleet spawned during run 1's window, not run 3's.
         assert "pool-spawn" in [e["kind"] for e in first["events"]]
         assert "pool-spawn" not in [e["kind"] for e in last["events"]]
+
+    def test_borrowed_default_pool_reports_its_parent_counters(self):
+        # The second machine borrows the warm fleet the first one spawned;
+        # its report must read the counters of the transport that served it.
+        clear_default_pools()
+        data = np.arange(N_ITEMS, dtype=np.int64)
+        try:
+            reports = []
+            for _ in range(2):
+                telemetry = Telemetry()
+                machine = resolve_machine(P, backend="process", seed=SEED,
+                                          telemetry=telemetry)
+                random_permutation(data, machine=machine)
+                machine.close()
+                reports.append(telemetry.last.to_dict())
+            assert len(default_pools()) == 1
+            assert reports[1]["parent_transport"]["shared_encode_calls"] > 0
+        finally:
+            clear_default_pools()
 
 
 @pytest.mark.subprocess
