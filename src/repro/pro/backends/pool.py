@@ -40,10 +40,13 @@ lambdas.  An unserialisable program raises
 
 Bulk arguments are encoded through the payload transport once **per
 run**: transports with ``encode_shared`` (the default ``sharedmem``)
-write them into a single refcounted multi-consumer segment that every
-rank attaches -- one memcpy total, unlinked after the last rank's
-acknowledgement -- and purely in-band transports (``pickle``) reuse one
-encoded record for every rank.  Only duck-typed transports with
+write them into the transport's standing dispatch segment, which every
+rank attaches -- one memcpy total, into pages already in place.  A rank
+drops its argument views before queueing its result, so its release
+receipt reaches the parent first and the next run can rewrite the same
+segment; a program that keeps a view past its return only makes the next
+run replace the segment.  Purely in-band transports (``pickle``) reuse
+one encoded record for every rank.  Only duck-typed transports with
 out-of-band ``dispose`` but no ``encode_shared`` still pay one encode
 per rank.  A fork still inherits the arguments for free, so with the
 in-band ``pickle`` transport large-argument workloads can be slower
@@ -118,7 +121,7 @@ except ImportError:  # pragma: no cover - exercised where cloudpickle is absent
 __all__ = ["WorkerPool", "pool", "get_default_pool", "clear_default_pools",
            "default_pools"]
 
-#: Result-queue sentinel of a multi-consumer argument-segment receipt
+#: Result-queue sentinel of a dispatch-segment release receipt
 #: (``(epoch, rank, ok, payload)`` entries carry it in the ``ok`` slot).
 _SHARED_ACK = "__shared-ack__"
 
@@ -145,6 +148,10 @@ def _pool_worker_main(rank: int, fabric: ProcessFabric, task_queue,
     and a worker that kept looping on a broken barrier could only produce
     corrupt runs.
     """
+    # Release receipts of the dispatch segment, appended by the finalizers
+    # of the argument views (a list append is safe there, a queue put is
+    # not) and flushed to the parent ahead of each result.
+    released: list = []
     while True:
         raw = task_queue.get()
         if raw is None:
@@ -176,19 +183,10 @@ def _pool_worker_main(rank: int, fabric: ProcessFabric, task_queue,
             # Bulk arguments travel out-of-band through the payload
             # transport (the control record above stays small); with the
             # shared-memory transport the worker gets zero-copy views of
-            # the run's shared multi-consumer segment.  The attach receipt
-            # the decode fires goes straight back to the parent on the
-            # result queue, so the segment can be unlinked as soon as the
-            # last rank holds a mapping.
-            def _args_ack(receipt, _rank=rank):
-                try:
-                    result_queue.put((None, _rank, _SHARED_ACK, receipt))
-                except Exception:  # pragma: no cover - queue already closed
-                    pass
-
+            # the parent's standing dispatch segment.
             if fabric._ack_aware:
                 args, kwargs = fabric.transport.decode(args_record,
-                                                       ack=_args_ack)
+                                                       ack=released.append)
             else:
                 args, kwargs = fabric.transport.decode(args_record)
             # Rebuild the context around the standing fabric: communicator
@@ -201,12 +199,19 @@ def _pool_worker_main(rank: int, fabric: ProcessFabric, task_queue,
                 comm=Communicator(fabric, rank, cost), rng=rng, cost=cost,
             )
             value = program(ctx, *args, **kwargs)
+            del args, kwargs
             variates = getattr(ctx.rng, "total_variates", None)
             encoded = fabric.encode_payload(rank, value)
+            # The last argument views (``value`` may be one) die here, so
+            # the release receipt is queued ahead of the result and the
+            # parent can reuse the segment for the next run.
+            del value
             # Counters accumulate across epochs in a standing worker; the
             # snapshot repatriates the running totals with this epoch's
             # result record (the parent reports the latest view).
             ctx.cost.telemetry = capture_rank_telemetry(fabric, rank)
+            while released:
+                result_queue.put((None, rank, _SHARED_ACK, released.pop()))
             result_queue.put((epoch, rank, True, (encoded, ctx.cost, variates)))
         except BaseException as exc:  # noqa: BLE001 - report any rank failure
             try:
@@ -375,9 +380,9 @@ class WorkerPool:
         # queue would defer pickling to its feeder thread, turning the
         # same failure into a hang).  Bulk array arguments travel
         # out-of-band through the payload transport, encoded once **per
-        # run**: ``encode_shared`` puts them in one refcounted
-        # multi-consumer segment every rank attaches, and purely in-band
-        # records are reused verbatim for every rank.  Only duck-typed
+        # run**: ``encode_shared`` writes them into the standing dispatch
+        # segment every rank attaches, and purely in-band records are
+        # reused verbatim for every rank.  Only duck-typed
         # transports with out-of-band dispose but no ``encode_shared``
         # still pay one encode per rank.
         args_records: list = []
@@ -467,8 +472,8 @@ class WorkerPool:
     def _encode_args(transport, payload, n: int) -> list:
         """Encode one run's bulk arguments for ``n`` ranks -- once if possible.
 
-        Preference order: ``encode_shared`` (one refcounted multi-consumer
-        record, accepted unless the transport declines with ``None``);
+        Preference order: ``encode_shared`` (one multi-consumer record,
+        accepted unless the transport declines with ``None``);
         one plain record reused for every rank when the transport is
         purely in-band (its ``dispose`` is the base-class no-op, so a
         record holds no single-consumer resources); per-rank ``encode``
@@ -576,8 +581,8 @@ class WorkerPool:
             except Exception:  # pragma: no cover - truncated pickle after a kill
                 continue
             if ok == _SHARED_ACK:
-                # A rank attached the run's shared argument segment: apply
-                # the receipt so the segment is unlinked after the last one.
+                # A rank released its views of the dispatch segment: once
+                # every rank has, the next run may rewrite the segment.
                 try:
                     self.fabric.transport.ring_ack(payload)
                 except Exception:  # pragma: no cover - acks are best effort
@@ -613,12 +618,13 @@ class WorkerPool:
         2. the suspects' task queues are drained (an undelivered epoch
            holds encoded argument records) and replaced by fresh queues;
         3. straggler results of the poisoned epoch are drained from the
-           shared result queue, applying shared-segment receipts and
-           disposing undecoded values;
+           shared result queue, applying dispatch-segment release
+           receipts and disposing undecoded values;
         4. the standing fabric is healed
            (:meth:`~repro.pro.backends.process.ProcessFabric.heal`):
            inboxes drained and disposed, barrier reset, fresh sender-ring
-           names for the replacements, orphaned shared segments retired;
+           names for the replacements, the standing dispatch segment
+           retired;
         5. replacement workers are spawned for the suspect ranks only,
            re-handshaking their transports against the healed fabric.
 

@@ -355,8 +355,8 @@ class ProcessFabric:
           replacement re-handshakes its transport from scratch (receivers
           attach by the name embedded in each record, and survivors never
           read another rank's ring name, so the swap is race-free);
-        * multi-consumer shared segments whose consumers died before
-          acknowledging are retired (``retire_shared``).
+        * the standing dispatch segment, which crashed consumers may
+          never release, is retired (``retire_shared``).
 
         Ring acks parked in drained inboxes are dropped, not applied: ring
         bookkeeping lives in the owning worker's process, so a surviving
@@ -440,7 +440,7 @@ class ProcessFabric:
         retire_shared = getattr(self.transport, "retire_shared", None)
         if retire_shared is not None:
             try:
-                retire_shared()  # multi-consumer segments abandoned mid-run
+                retire_shared()  # the standing dispatch segment
             except Exception:  # pragma: no cover - retirement is best effort
                 pass
         for inbox in self._inboxes:

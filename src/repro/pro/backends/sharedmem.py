@@ -18,11 +18,15 @@ of every bulk NumPy payload travel through a
   for as long as they like without leaking.
 
 * **Multi-consumer dispatch** (``encode_shared``): the worker pool's bulk
-  run arguments are written into **one refcounted segment per run** (not
-  one copy per rank); every rank attaches it, acknowledges the attach
-  through the pool's result channel, and the encoder unlinks the name
-  after the last acknowledgement -- mappings (and hence the zero-copy
-  views) stay valid until each receiver's views die.
+  run arguments are written into the transport's **standing dispatch
+  segment** -- one copy per run, not one per rank, into pages that are
+  already in place.  Every rank attaches it and sends a *release receipt*
+  once its last view into it has been garbage collected; the segment is
+  rewritten only after all ``n_consumers`` have released it.  A segment
+  still held when the next run dispatches (a program kept a view), or of
+  the wrong size, is *replaced*: its name is unlinked, the encoder's
+  mapping closed and a new standing segment created, while the holders'
+  mappings keep the old pages alive.
 
 Lifecycle discipline
 --------------------
@@ -31,12 +35,13 @@ an *unregister* inside :meth:`SharedMemory.unlink`; all fabric processes
 share one tracker (the file descriptor is inherited by both ``fork`` and
 ``spawn`` children), so the invariant the transport maintains is simply
 **exactly one unlink per segment**: the receiver unlinks on decode (the
-*encoder* does, after the last consumer's ack, for multi-consumer
-segments), and records that are never decoded are unlinked by ``dispose``
+*encoder* does, on replacement or retirement, for the standing dispatch
+segment), and records that are never decoded are unlinked by ``dispose``
 when the fabric drains its queues on shutdown/abort/timeout paths
-(``retire_shared`` covers multi-consumer segments abandoned mid-run).  A
-segment abandoned by a hard-crashed run is the one case left to the
-tracker's exit-time cleanup (which is exactly what the tracker is for).
+(``retire_shared`` unlinks the standing segment at fabric shutdown and
+heal).  A segment abandoned by a hard-crashed run is the one case left to
+the tracker's exit-time cleanup (which is exactly what the tracker is
+for).
 
 When shared memory is unavailable (no ``/dev/shm``, permissions, exotic
 platforms) the transport degrades transparently to the pickle codec; the
@@ -168,9 +173,6 @@ class _SegmentLease:
 _SENDER_RINGS: dict = {}
 #: (pid, name) -> _RingAttachment, private to the attaching process.
 _ATTACHED_RINGS: dict = {}
-#: Second element of a multi-consumer attach receipt (distinguishes it
-#: from a ring receipt, whose second element is an integer slot end).
-_MULTI_TOKEN = "multi"
 
 
 def _unlink_by_name(name: str) -> None:
@@ -412,12 +414,14 @@ def _sender_ring(name: str, ring_bytes: int, *, max_bytes: int | None = None,
 
 
 def _slot_release(ack, name: str, receipt: int, n_views: int):
-    """Build the finalizer that acks one ring slot once its views are dead.
+    """Build the finalizer that acks one record once its views are dead.
 
-    Every zero-copy view of the slot's message registers the returned
+    The record is a ring slot or one write of the standing dispatch segment.
+    Every zero-copy view of the record registers the returned
     callable with ``weakref.finalize``; the last view to be garbage
-    collected fires ``ack((name, receipt))``, which the fabric routes back
-    to the sending process.  The callable must not reference the views
+    collected fires ``ack((name, receipt))``, which the fabric (or the
+    pool worker, for dispatch segments) routes back to the encoding
+    process.  The callable must not reference the views
     themselves (that would keep them alive forever).
     """
     remaining = [int(n_views)]
@@ -450,6 +454,52 @@ def _attached_ring(name: str) -> "_RingAttachment | None":
             return None
         _ATTACHED_RINGS[key] = attachment
     return attachment
+
+
+# ----------------------------------------------------------------------------
+# The standing dispatch segment: one reusable multi-consumer buffer per
+# transport instance, holding the worker pool's bulk run arguments
+# ----------------------------------------------------------------------------
+# Filling fresh tmpfs pages costs several times more than rewriting pages
+# already in place (on a 2-vCPU host, 28 ms against 6 ms for 32 MB, plus
+# 4 ms to close and unlink the segment), so the encoder keeps one segment
+# mapped across runs.  ``use`` numbers its writes: a consumer's release
+# receipt names the write it read, so receipts for an earlier write or a
+# replaced segment are ignored.
+
+
+class _StandingSegment:
+    """The encoder's standing dispatch segment and its unreleased readers."""
+
+    __slots__ = ("pid", "shm", "use", "held")
+
+    def __init__(self, shm):
+        self.pid = os.getpid()
+        self.shm = shm
+        self.use = 0   # writes so far
+        self.held = 0  # consumers of the latest write yet to release it
+
+    def fits(self, nbytes: int) -> bool:
+        """Reusable for ``nbytes``: all released, big enough, not 4x too big."""
+        return (not self.held and self.pid == os.getpid()
+                and nbytes <= self.shm.size <= 4 * nbytes)
+
+    def release(self, use) -> None:
+        if use == self.use and self.held > 0:
+            self.held -= 1
+
+    def retire(self) -> None:
+        """Unlink the name (in the creating process) and close this mapping.
+
+        Consumers still holding views keep their own mappings, and with
+        them the pages, alive.
+        """
+        if self.pid == os.getpid():
+            try:
+                self.shm.unlink()
+            except FileNotFoundError:  # pragma: no cover - already gone
+                pass
+        self.shm.close()
 
 
 class SharedMemoryTransport(PayloadTransport):
@@ -519,9 +569,14 @@ class SharedMemoryTransport(PayloadTransport):
         #: the bench harness assert the once-per-run encode and the
         #: adaptive ring's fallback behaviour through these.
         self.stats = TransportStats()
-        #: (creator pid, segment name) -> remaining consumer count of the
-        #: multi-consumer segments this instance encoded (parent side).
-        self._multi: dict = {}
+        #: The standing dispatch segment ``encode_shared`` writes into
+        #: (created on first use, replaced when held or ill-sized).
+        self._standing: _StandingSegment | None = None
+
+    def __getstate__(self) -> dict:
+        # A copy pickled into a spawned worker must not attach (and so pin)
+        # the encoder's standing segment: it starts without one.
+        return {**self.__dict__, "_standing": None}
 
     def cache_key(self) -> tuple:
         return ("sharedmem", self.min_bytes, self.ring_bytes,
@@ -549,26 +604,39 @@ class SharedMemoryTransport(PayloadTransport):
         inner = walk_encode(payload, claim)
         return slabs, offsets, cursor, inner
 
-    def _write_segment(self, slabs, offsets, cursor):
-        """Copy the slabs into a fresh dedicated segment; return its name.
+    @staticmethod
+    def _create_segment(size: int):
+        """A fresh segment of ``size`` bytes, or ``None`` when creation fails.
 
-        Returns ``None`` when segment creation fails (e.g. /dev/shm filled
-        up), in which case the caller degrades to the inline codec.
+        A failure (e.g. /dev/shm filled up) degrades this and future
+        messages to the inline codec.
         """
         try:
-            seg = _shm_module.SharedMemory(create=True, size=max(cursor, 1))
+            return _shm_module.SharedMemory(create=True, size=max(size, 1))
         except Exception:
-            # Creation can start failing later; degrade to the inline
-            # codec for this and future messages.
             global _PROBE
             _PROBE = (os.getpid(), False)
             return None
+
+    @staticmethod
+    def _copy_slabs(buf, slabs, offsets, base: int = 0) -> None:
+        for slab, offset in zip(slabs, offsets):
+            dst = np.ndarray(slab.shape, dtype=slab.dtype, buffer=buf,
+                             offset=base + offset)
+            dst[...] = slab
+            del dst
+
+    def _write_segment(self, slabs, offsets, cursor):
+        """Copy the slabs into a fresh dedicated segment; return its name.
+
+        Returns ``None`` when segment creation fails, in which case the
+        caller degrades to the inline codec.
+        """
+        seg = self._create_segment(cursor)
+        if seg is None:
+            return None
         try:
-            for slab, offset in zip(slabs, offsets):
-                dst = np.ndarray(slab.shape, dtype=slab.dtype,
-                                 buffer=seg.buf, offset=offset)
-                dst[...] = slab
-                del dst
+            self._copy_slabs(seg.buf, slabs, offsets)
         except BaseException:
             seg.close()
             seg.unlink()
@@ -596,11 +664,7 @@ class SharedMemoryTransport(PayloadTransport):
                 alloc = sender.allocate(cursor)
                 if alloc is not None:
                     base, receipt = alloc
-                    for slab, offset in zip(slabs, offsets):
-                        dst = np.ndarray(slab.shape, dtype=slab.dtype,
-                                         buffer=sender.shm.buf, offset=base + offset)
-                        dst[...] = slab
-                        del dst
+                    self._copy_slabs(sender.shm.buf, slabs, offsets, base)
                     self.stats.ring_messages += 1
                     return (SHMRING, ring,
                             tuple(base + offset for offset in offsets),
@@ -620,14 +684,21 @@ class SharedMemoryTransport(PayloadTransport):
     def encode_shared(self, payload, n_consumers: int, *, ring: str | None = None):
         """Encode ``payload`` once for ``n_consumers`` independent receivers.
 
-        Bulk arrays go into one dedicated segment whose refcount starts at
-        ``n_consumers``; every receiver's :meth:`decode` attaches the
-        segment (without unlinking) and acknowledges the attach, and the
-        encoder's :meth:`ring_ack` unlinks the segment after the last
-        acknowledgement (undelivered copies are released by
-        :meth:`dispose`, abandoned ones by :meth:`retire_shared`).
-        Payloads without bulk arrays return the plain in-band record,
-        which any number of consumers can decode.
+        Bulk arrays are written into the standing dispatch segment, which
+        then stays *held* until every consumer has released it: each
+        receiver's :meth:`decode` fires a ``(name, use)`` receipt once its
+        last view is garbage collected, and :meth:`ring_ack` applies it
+        here.  A segment still held, too small, or more than four times
+        too big is replaced by a new one sized to the next power of two
+        (the old name is unlinked; holders keep their mappings).  An
+        undelivered copy is released by :meth:`dispose`, and
+        :meth:`retire_shared` unlinks the segment.  Payloads without bulk
+        arrays return the plain in-band record, which any number of
+        consumers can decode.
+
+        The standing segment serves one dispatcher at a time: pools that
+        dispatch concurrently need their own transport instances (every
+        backend built from a name resolves its own).
         """
         if n_consumers < 1:
             raise ValidationError(
@@ -640,13 +711,19 @@ class SharedMemoryTransport(PayloadTransport):
         if not slabs:
             return inner
         self.stats.bytes_encoded += cursor
-        name = self._write_segment(slabs, offsets, cursor)
-        if name is None:
-            return walk_encode(payload, lambda arr: None)
-        self.stats.segments_created -= 1  # counted as multi instead
-        self.stats.multi_segments_created += 1
-        self._multi[(os.getpid(), name)] = int(n_consumers)
-        return (SHMMULTI, name, tuple(offsets), inner)
+        standing = self._standing
+        if standing is None or not standing.fits(cursor):
+            self.retire_shared()
+            seg = self._create_segment(1 << (cursor - 1).bit_length())
+            if seg is None:
+                return walk_encode(payload, lambda arr: None)
+            standing = self._standing = _StandingSegment(seg)
+            self.stats.multi_segments_created += 1
+        self._copy_slabs(standing.shm.buf, slabs, offsets)
+        standing.use += 1
+        standing.held = int(n_consumers)
+        return (SHMMULTI, standing.shm.name, standing.use, tuple(offsets),
+                inner)
 
     # -- decoding -----------------------------------------------------------
     def decode(self, record, *, ack=None):
@@ -703,107 +780,89 @@ class SharedMemoryTransport(PayloadTransport):
         return walk_decode(inner, resolve)
 
     def _decode_multi(self, record, ack=None):
-        """Decode one consumer's copy of a multi-consumer record.
+        """Decode one consumer's copy of a standing-segment record.
 
         Attaches the segment *without unlinking it* (the encoder owns the
-        name and unlinks after the last acknowledgement); the mapping is
-        closed once every returned view has been garbage collected.  The
-        acknowledgement fires at *attach* time -- POSIX keeps the memory
-        alive while the mapping is open, so the encoder may unlink the
-        name as soon as every consumer holds a mapping, well before the
-        views die.
+        name).  Once every returned view has been garbage collected the
+        mapping is closed and ``ack((name, use))`` releases this
+        consumer's hold on the write it read.
         """
-        _, name, offsets, inner = record
+        _, name, use, offsets, inner = record
         try:
             seg = _shm_module.SharedMemory(name=name)
         except FileNotFoundError:
             raise CommunicationError(
-                f"multi-consumer segment {name!r} vanished before it was "
+                f"dispatch segment {name!r} vanished before it was "
                 "received (the run was probably aborted)"
             ) from None
         lease = _SegmentLease(seg, len(offsets))
+        release = None if ack is None else _slot_release(ack, name, use,
+                                                         len(offsets))
 
         def resolve(ref):
             _, index, dtype, shape = ref
             view = np.ndarray(shape, dtype=dtype, buffer=seg.buf,
                               offset=offsets[index])
             lease.watch(view)
+            if release is not None:
+                weakref.finalize(view, release)
             return view
 
-        payload = walk_decode(inner, resolve)
-        if ack is not None:
-            try:
-                ack((name, _MULTI_TOKEN))
-            except Exception:  # pragma: no cover - acks are best effort
-                pass
-        return payload
+        return walk_decode(inner, resolve)
 
     # -- acknowledgements ----------------------------------------------------
     def ring_ack(self, receipt) -> None:
         """Apply a receiver acknowledgement in the encoding process.
 
         ``receipt`` is what a receiver's ``decode`` handed to its ``ack``
-        callback: the ``(ring name, virtual slot end)`` pair of a ring
-        slot whose views are gone -- the named slot (and any contiguous
-        acked predecessors) becomes reusable -- or the ``(segment name,
-        token)`` attach receipt of a multi-consumer segment, which
-        decrements its refcount and unlinks the segment after the last
-        consumer.  Unknown receipts -- duplicate delivery, a ring that
-        was already retired -- are ignored.
+        callback once the views of a record were gone: the ``(ring name,
+        virtual slot end)`` pair of a ring slot -- the named slot (and any
+        contiguous acked predecessors) becomes reusable -- or the
+        ``(segment name, use)`` release of the standing dispatch segment.
+        Unknown receipts -- duplicate delivery, a retired ring, a write
+        since overwritten or a replaced segment -- are ignored.
         """
         try:
             name, end = receipt
         except (TypeError, ValueError):
             return
-        if end == _MULTI_TOKEN:
-            self._multi_ack(name)
+        standing = self._standing
+        if standing is not None and standing.shm.name == name:
+            standing.release(end)
             return
         ring = _SENDER_RINGS.get((os.getpid(), name))
         if ring is not None:
             ring.ack(end)
 
-    def _multi_ack(self, name: str) -> None:
-        """One consumer released its share of a multi-consumer segment."""
-        key = (os.getpid(), name)
-        remaining = self._multi.get(key)
-        if remaining is None:
-            return
-        if remaining <= 1:
-            self._multi.pop(key, None)
-            _unlink_by_name(name)
-        else:
-            self._multi[key] = remaining - 1
-
     # -- disposal -----------------------------------------------------------
     def dispose(self, record) -> None:
         """Release a record that will never be decoded.
 
-        Dedicated segments are unlinked outright; a multi-consumer record
-        releases one undelivered copy's share of the refcount (the caller
-        disposes each queued copy separately).  Ring records need no
-        per-message disposal -- the fabric retires whole rings via
+        Dedicated segments are unlinked outright; a standing-segment
+        record releases one undelivered copy's hold (the caller disposes
+        each queued copy separately).  Ring records need no per-message
+        disposal -- the fabric retires whole rings via
         :meth:`retire_rings` at shutdown.
         """
         if not (isinstance(record, tuple) and record):
             return
         if record[0] == SHMMULTI:
-            self._multi_ack(record[1])
+            self.ring_ack((record[1], record[2]))
             return
         if record[0] != SHMSEG:
             return
         _unlink_by_name(record[1])
 
     def retire_shared(self) -> None:
-        """Unlink every outstanding multi-consumer segment of this process.
+        """Unlink the standing dispatch segment and close its mapping.
 
-        Called during fabric shutdown: consumers that crashed before
-        acknowledging leave the refcount above zero, and the names they
-        never attached must not outlive the run.
+        Called at fabric shutdown and heal: a consumer that crashed holds
+        the segment forever, and the name must not outlive the fleet.  The
+        next ``encode_shared`` creates a new one.
         """
-        pid = os.getpid()
-        for key in [k for k in self._multi if k[0] == pid]:
-            self._multi.pop(key, None)
-            _unlink_by_name(key[1])
+        standing, self._standing = self._standing, None
+        if standing is not None:
+            standing.retire()
 
     # -- ring lifecycle -----------------------------------------------------
     def ring_epoch(self, name: str) -> None:

@@ -40,10 +40,11 @@ A transport is any object with
     receiving process.  Arrays may be returned as views into transport
     owned buffers provided the buffer outlives every returned view.
     ``ack`` is an optional fabric-provided callable; a transport that
-    allocated reclaimable out-of-band space for the record (a ring slot)
-    calls ``ack(receipt)`` once the receiver is done with the payload (all
-    zero-copy views garbage collected), and the fabric routes the receipt
-    back to the sending process, which applies it via :meth:`ring_ack`.
+    allocated reclaimable out-of-band space for the record (a ring slot, a
+    standing-segment write) calls ``ack(receipt)`` once the receiver is done
+    with the payload (all zero-copy views garbage collected), and the
+    fabric routes the receipt back to the sending process, which applies
+    it via :meth:`ring_ack`.
     Transports may ignore ``ack``; fabrics only pass it to transports
     whose ``decode`` signature accepts it.
 ``ring_ack(receipt) -> None`` (optional)
@@ -55,23 +56,26 @@ A transport is any object with
     Encode once for ``n_consumers`` independent receivers: the same record
     is delivered to (and decoded by) every consumer, so persistent pools
     can ship one run's bulk dispatch arguments with a single encode
-    instead of one per rank.  The shared-memory transport backs this with
-    a *refcounted* segment unlinked after the last consumer's ack;
-    returning ``None`` declines and the caller falls back to per-consumer
-    ``encode``.
+    instead of one per rank.  The shared-memory transport writes into one
+    *standing* segment per instance, reused across runs: each consumer's
+    ``decode`` fires a *release* receipt (via ``ack``) once its last view
+    is garbage collected, and the segment is rewritten only after all
+    ``n_consumers`` have released it -- a segment still held is replaced
+    instead.  Returning ``None`` declines and the caller falls back to
+    per-consumer ``encode``.
 ``dispose(record) -> None``
     Release any out-of-band resources (e.g. shared-memory segments) held
     by a record that will *never* be decoded -- the fabric calls this when
     draining undelivered messages on shutdown, abort and timeout paths.
     For a multi-consumer record, one ``dispose`` call releases one
-    undelivered copy's share of the refcount.
+    undelivered copy's hold, as its consumer's release receipt would have.
 ``retire_rings(names) -> None`` (optional)
     Unlink/release the named ring buffers at the end of a fabric run;
     only called by fabrics that handed out ring names.
 ``retire_shared() -> None`` (optional)
-    Unlink every outstanding multi-consumer segment this process still
-    tracks; called during fabric shutdown so crashed or abandoned runs
-    leak nothing.
+    Unlink the standing multi-consumer segment and close the encoder's
+    mapping; called at fabric shutdown and heal so crashed or abandoned
+    runs leak nothing (the next ``encode_shared`` creates a new one).
 ``ring_epoch(name) -> None`` (optional)
     Epoch boundary of the sender ring called ``name``: persistent-pool
     workers call it at the start of every dispatched run so the ring can
@@ -120,10 +124,10 @@ SHMSEG = "shmseg"
 #: (created once per fabric, reclaimed slot-by-slot through receiver
 #: acknowledgements, retired by the fabric at shutdown).
 SHMRING = "shmring"
-#: Marker of a *multi-consumer* record: one refcounted segment read by
-#: ``n_consumers`` independent receivers (the worker pool's bulk dispatch
-#: arguments), unlinked by the encoder once the last consumer has
-#: acknowledged its attach (see ``PayloadTransport.encode_shared``).
+#: Marker of a *multi-consumer* record: one write of the encoder's standing
+#: segment, read by ``n_consumers`` independent receivers (the worker
+#: pool's bulk dispatch arguments) and reusable once each has released it
+#: (see ``PayloadTransport.encode_shared``).
 SHMMULTI = "shmmulti"
 
 
@@ -133,8 +137,11 @@ class TransportStats:
     Every built-in transport exposes one as its ``stats`` attribute.  The
     interesting invariants they pin: persistent dispatch encodes bulk
     arguments **once per run** (``shared_encode_calls`` grows by one per
-    ``run()``, not by ``p``), and a steady warm workload stops paying
-    ``oversize_fallbacks`` once the adaptive ring has grown to fit.
+    ``run()``, not by ``p``) into a standing segment that same-shape warm
+    runs reuse (``multi_segments_created`` counts creations, so it stays
+    flat while every rank releases its views), and a steady warm
+    workload stops paying ``oversize_fallbacks`` once the adaptive ring
+    has grown to fit.
     """
 
     __slots__ = ("encode_calls", "shared_encode_calls", "decode_calls",
@@ -230,8 +237,8 @@ class PayloadTransport:
         Used by the worker pool to ship one run's bulk dispatch arguments:
         the same returned record is delivered to every rank, so the
         encoding must be safe to :meth:`decode` ``n_consumers`` times (the
-        shared-memory transport backs it with one *refcounted* segment
-        unlinked after the last consumer's acknowledgement).  Returning
+        shared-memory transport writes it into its standing segment, held
+        until every consumer has released its views).  Returning
         ``None`` declines -- the caller falls back to per-consumer
         :meth:`encode` -- which is what this base implementation does.
         """
@@ -241,7 +248,7 @@ class PayloadTransport:
         """Release out-of-band resources of a record that won't be decoded.
 
         For multi-consumer records this is called once per *undelivered
-        copy* and must release that copy's share of the refcount.
+        copy* and must release that copy's hold.
         """
         # In-band transports hold nothing outside the record itself.
 
@@ -254,7 +261,7 @@ class PayloadTransport:
         # In-band transports have no rings.
 
     def retire_shared(self) -> None:
-        """Unlink every outstanding multi-consumer segment of this process."""
+        """Unlink the standing multi-consumer segment of this process."""
         # In-band transports have no shared segments.
 
     def ring_epoch(self, name: str) -> None:

@@ -6,8 +6,9 @@ Contract (see :mod:`repro.pro.backends.pool`): driver calls with
 a poisoned fleet is evicted and respawned, ``clear_default_pools()`` and
 the interpreter-exit hook release everything leak-free, and warm calls
 stay bit-identical to the cold path for a fixed seed.  Bulk dispatch
-arguments are encoded once per *run*, not once per rank (multi-consumer
-segments), pinned here through the transport counters.
+arguments are encoded once per *run*, not once per rank, into one standing
+dispatch segment that same-shape warm calls reuse, pinned here through the
+transport counters and the linked ``/dev/shm`` names.
 """
 
 import os
@@ -50,6 +51,18 @@ def _slow_program(ctx):
 
     time.sleep(0.4)
     return ctx.rank
+
+
+#: rank -> (an argument block the rank kept past its run, a copy of its bytes)
+_KEPT: dict = {}
+
+
+def _keep_first_block_program(ctx, blocks):
+    """Keep the first run's argument block in a global; report it intact."""
+    block = blocks[ctx.rank]
+    kept, original = _KEPT.setdefault(ctx.rank, (block, block.copy()))
+    noise = ctx.rng.integers(0, 1000, size=block.shape)
+    return block * 3 + noise, bool(np.array_equal(kept, original))
 
 
 def _default_pool_pids():
@@ -104,21 +117,46 @@ class TestWarmDrivers:
             assert np.array_equal(warm, thread), seed
 
     def test_args_encoded_once_per_run_not_per_rank(self):
-        # The pool's dispatch writes one run's bulk arguments into one
-        # multi-consumer segment: p ranks, but exactly one shared encode
-        # and one multi segment per driver call.
-        random_permutation(np.arange(50_000), n_procs=4, backend="process",
-                           seed=0)
+        # The pool's dispatch writes one run's bulk arguments into its
+        # standing dispatch segment: p ranks, but exactly one shared
+        # encode per driver call.  Every rank releases its views before
+        # reporting, so k same-shape calls create one segment and keep
+        # reusing its name.
+        before = _shm_segments("psm_")
+        names = []
+        for seed in range(3):
+            random_permutation(np.arange(50_000), n_procs=4,
+                               backend="process", seed=seed)
+            names.append(_shm_segments("psm_") - before)
         stats = next(iter(default_pools().values())).fabric.transport.stats
-        first = stats.snapshot()
-        assert first["shared_encode_calls"] == 1
-        assert first["multi_segments_created"] == 1
-        random_permutation(np.arange(50_000), n_procs=4, backend="process",
-                           seed=0)
-        second = stats.snapshot()
-        assert second["shared_encode_calls"] == first["shared_encode_calls"] + 1
-        assert (second["multi_segments_created"]
-                == first["multi_segments_created"] + 1)
+        assert stats.shared_encode_calls == 3
+        assert stats.multi_segments_created == 1
+        assert len(names[0]) == 1 and names[0] == names[1] == names[2], names
+
+    def test_a_kept_argument_view_survives_later_runs(self):
+        # A program that keeps its argument block past its return pins
+        # the dispatch segment: the next run must write to a new segment
+        # (the kept view's bytes stay intact), and the run after that
+        # reuses it.  Outputs stay bit-identical to the thread backend.
+        def runs(backend):
+            _KEPT.clear()
+            out = []
+            for k in range(3):
+                blocks = [np.arange(50_000, dtype=np.int64) + 10**6 * (k + r)
+                          for r in range(2)]
+                machine = resolve_machine(2, backend=backend, seed=40 + k)
+                out.append(machine.run(_keep_first_block_program, blocks).results)
+            return out
+
+        process = runs("process")
+        thread = runs("thread")
+        for process_run, thread_run in zip(process[1:], thread[1:]):
+            for (p_out, p_intact), (t_out, t_intact) in zip(process_run, thread_run):
+                assert np.array_equal(p_out, t_out)
+                assert p_intact and t_intact
+        stats = next(iter(default_pools().values())).fabric.transport.stats
+        assert stats.shared_encode_calls == 3
+        assert stats.multi_segments_created == 2  # replaced once, then reused
 
 
 class TestKeyedIsolation:
@@ -299,20 +337,55 @@ class TestSharing:
 
 class TestLifecycleHygiene:
     def test_atexit_teardown_leaks_nothing_under_w_error(self):
-        """Warm driver calls left *without* explicit cleanup must be
-        reaped by the atexit hook: no resource_tracker warnings, no
-        leaked segments (checked in a subprocess because the warnings
-        appear at interpreter exit)."""
+        """Warm driver calls, a crash -> heal -> replay and one more call
+        leave no ``/dev/shm`` name behind after ``clear_default_pools()``,
+        and a fleet left *without* explicit cleanup is reaped by the
+        atexit hook: no resource_tracker warnings, no leaked segments
+        (checked in a subprocess because the warnings appear at
+        interpreter exit)."""
         script = textwrap.dedent("""
+            import os
             import numpy as np
             from repro.core.permutation import random_permutation
-            from repro.pro.backends.pool import default_pools
+            from repro.pro.backends.faults import CrashRank, FaultInjectingBackend
+            from repro.pro.backends.pool import clear_default_pools, default_pools
+            from repro.pro.machine import PROMachine
 
+            def program(ctx, blocks):
+                block = blocks[ctx.rank]
+                ctx.comm.alltoall([int(block[0])] * ctx.comm.size)
+                ctx.comm.barrier()
+                return block + ctx.rng.integers(0, 7, size=block.shape)
+
+            before = set(os.listdir("/dev/shm"))
             for seed in range(3):
                 out = random_permutation(np.arange(20_000), n_procs=3,
                                          backend="process", seed=seed)
                 assert out.shape == (20_000,)
             assert len(default_pools()) == 1  # one warm fleet, never closed here
+
+            # crash -> heal -> replay on a warm fleet, then one more call
+            blocks = [np.arange(20_000) * (r + 1) for r in range(3)]
+            faulty = FaultInjectingBackend(
+                "process", [CrashRank(rank=1, at_op=1, at_run=0)],
+                persistent=True, pool_scope="process")
+            machine = PROMachine(3, seed=7, backend=faulty, retry=2)
+            replayed = machine.run(program, blocks).results
+            clean = PROMachine(3, seed=7, backend="thread").run(program, blocks)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(replayed, clean.results))
+            out = random_permutation(np.arange(20_000), n_procs=3,
+                                     backend="process", seed=3)
+            assert out.shape == (20_000,)
+
+            clear_default_pools()
+            machine.close()
+            leftover = set(os.listdir("/dev/shm")) - before
+            assert not leftover, leftover
+
+            # one more warm fleet, left for the atexit hook to reap
+            random_permutation(np.arange(20_000), n_procs=3,
+                               backend="process", seed=4)
         """)
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -335,8 +408,10 @@ class TestLifecycleHygiene:
         assert not leftovers, f"segments survived clear_default_pools: {leftovers}"
 
 
-def _shm_segments():
+def _shm_segments(prefix="pro"):
+    """Linked segments named ``prefix*`` (rings ``pro*``, others ``psm_*``)."""
     try:
-        return {f for f in os.listdir("/dev/shm") if f.startswith("pro")}
+        return {f for f in os.listdir("/dev/shm") if f.startswith(prefix)}
     except FileNotFoundError:  # pragma: no cover - non-Linux fallback
         return set()
+

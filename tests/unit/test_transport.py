@@ -416,7 +416,7 @@ class TestRingWrapAround:
 
 
 class TestMultiConsumerSegments:
-    """encode_shared: one refcounted segment serves n independent receivers."""
+    """encode_shared: one standing segment serves n receivers, run after run."""
 
     def _transport(self):
         return SharedMemoryTransport(min_bytes=16)
@@ -434,34 +434,87 @@ class TestMultiConsumerSegments:
             assert out["tag"] == "x"
         transport.retire_shared()
 
-    def test_unlinked_after_last_consumer_ack(self):
+    def test_reused_after_every_consumer_releases(self):
         transport = self._transport()
-        before = shm_segments()
         record = transport.encode_shared(np.arange(512, dtype=np.int64), 2)
         name = record[1]
-        assert name in shm_segments() - before
+        assert name in shm_segments()
         receipts = []
         out1 = transport.decode(record, ack=receipts.append)
-        assert len(receipts) == 1  # ack fires at attach time
-        transport.ring_ack(receipts.pop())
-        assert name in shm_segments()  # one consumer left: still linked
         out2 = transport.decode(record, ack=receipts.append)
-        transport.ring_ack(receipts.pop())
-        assert name not in shm_segments()  # last ack unlinked the name
-        # mappings outlive the unlink: the views stay readable
-        assert np.array_equal(out1, np.arange(512))
-        assert np.array_equal(out2, np.arange(512))
-        del out1, out2
+        assert receipts == []  # attaching is not releasing
+        del out1
         gc.collect()
+        assert len(receipts) == 1  # the first consumer's views are gone
+        del out2
+        gc.collect()
+        for receipt in receipts:
+            transport.ring_ack(receipt)
+        again = transport.encode_shared(np.arange(512, 1024, dtype=np.int64), 2)
+        assert again[1] == name  # released by both: rewritten in place
+        assert transport.stats.multi_segments_created == 1
+        assert np.array_equal(transport.decode(again), np.arange(512, 1024))
+        transport.retire_shared()
+        assert name not in shm_segments()
 
     def test_dispose_releases_each_undelivered_copy(self):
         transport = self._transport()
         record = transport.encode_shared(np.arange(512, dtype=np.int64), 2)
         name = record[1]
         transport.dispose(record)
-        assert name in shm_segments()   # one copy still undelivered
-        transport.dispose(record)
+        held = transport.encode_shared(np.arange(512, dtype=np.int64), 2)
+        assert held[1] != name  # one copy still undelivered: replaced
         assert name not in shm_segments()
+        transport.dispose(held)
+        transport.dispose(held)
+        again = transport.encode_shared(np.arange(512, dtype=np.int64), 2)
+        assert again[1] == held[1]  # both copies released: reused
+        transport.retire_shared()
+        assert held[1] not in shm_segments()
+
+    def test_held_view_keeps_its_bytes_across_the_next_write(self):
+        transport = self._transport()
+        first = np.arange(512, dtype=np.int64)
+        record = transport.encode_shared(first, 1)
+        receipts = []
+        view = transport.decode(record, ack=receipts.append)
+        # The consumer still holds run k's view: run k+1's write of other
+        # data goes to a new segment and leaves those bytes alone.
+        second = transport.encode_shared(first[::-1].copy(), 1)
+        assert second[1] != record[1]
+        assert record[1] not in shm_segments()  # replaced: name unlinked
+        assert np.array_equal(view, first)
+        del view
+        gc.collect()
+        transport.ring_ack(receipts.pop())  # late release: ignored
+        out = transport.decode(second, ack=receipts.append)
+        assert np.array_equal(out, first[::-1])
+        del out
+        gc.collect()
+        transport.ring_ack(receipts.pop())
+        third = transport.encode_shared(first, 1)
+        assert third[1] == second[1]  # the view died: the segment is reused
+        assert transport.stats.multi_segments_created == 2
+        transport.retire_shared()
+
+    def test_size_is_a_power_of_two_and_shrinks_below_a_quarter(self):
+        transport = self._transport()
+
+        def write(nbytes):
+            record = transport.encode_shared(np.zeros(nbytes, dtype=np.uint8), 1)
+            transport.dispose(record)  # release the single copy
+            return record[1], os.stat(f"/dev/shm/{record[1]}").st_size
+
+        name, size = write(1000)
+        assert size == 1024
+        grown, size = write(5000)
+        assert grown != name and size == 8192
+        assert write(2048) == (grown, 8192)  # a quarter still fits
+        shrunk, size = write(1000)
+        assert shrunk != grown and size == 1024
+        assert grown not in shm_segments()
+        transport.retire_shared()
+        assert shrunk not in shm_segments()
 
     def test_retire_shared_reaps_abandoned_segments(self):
         transport = self._transport()
@@ -470,7 +523,21 @@ class TestMultiConsumerSegments:
         assert name in shm_segments()
         transport.retire_shared()
         assert name not in shm_segments()
-        transport.ring_ack((name, "multi"))  # late ack: ignored, no raise
+        transport.ring_ack((name, record[2]))  # late release: ignored, no raise
+        transport.retire_shared()  # idempotent
+
+    def test_pickled_copy_leaves_the_standing_segment_behind(self):
+        # Spawned workers receive the transport pickled: the copy must not
+        # attach the encoder's segment (its mapping would pin the pages).
+        import pickle
+
+        transport = self._transport()
+        record = transport.encode_shared(np.arange(512, dtype=np.int64), 1)
+        copy = pickle.loads(pickle.dumps(transport))
+        assert copy._standing is None
+        assert copy.cache_key() == transport.cache_key()
+        transport.retire_shared()
+        assert record[1] not in shm_segments()
 
     def test_small_payloads_stay_inband_and_reusable(self):
         transport = self._transport()
