@@ -22,8 +22,11 @@ consolidates both concerns:
   instead of ``P * P'`` interpreted Python calls, which is the hot path of
   Algorithm 6's step 3 and of the sequential baseline.  The tree's index
   plan depends only on its width, so :func:`_split_plan` builds it once per
-  width and every later call reuses it: a level is a few index gathers and
-  scatters on one preallocated array.
+  width, and :func:`_stage_plan` lays the column tree of a ``(B, L)`` urn
+  array out as flat gather indices once per shape.  A call then computes
+  every split's class sizes with three gathers, and each column level is
+  one gather of the current draw counts, two compares, one vectorized
+  ``hypergeometric`` call and two scatters.
 
 The batched path samples from exactly the same distribution as the scalar
 samplers (every split is an exact hypergeometric draw; the factorisation is
@@ -35,6 +38,7 @@ equally valid -- matrices.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -93,6 +97,93 @@ def _split_plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
         levels.append((los, mids, his))
         los = np.column_stack([los, mids]).ravel()
         his = np.column_stack([mids, his]).ravel()
+
+
+#: Largest ``n_batch * (n_classes + 1)`` whose stage plan is cached (three
+#: int64 index arrays, at most 1.5 MiB); larger shapes build theirs per call.
+_STAGE_PLAN_MAX_CELLS = 1 << 16
+
+
+def _build_stage_plan(n_batch: int, n_classes: int):
+    """Flat gather plan of every column split of a ``(n_batch, n_classes)`` urn array.
+
+    Returns ``(los, mids, his, stages)``.  The three index arrays address a
+    ``(n_batch, n_classes + 1)`` array through its flat view: entry
+    ``b * (n_classes + 1) + lo`` is column ``lo`` of batch row ``b``.  Each
+    level of :func:`_split_plan` contributes one contiguous block of
+    ``n_batch * S`` entries in batch-major order (row ``b``, then split
+    ``j``), and ``stages`` lists the blocks' ``(start, stop)`` bounds.
+    """
+    levels = _split_plan(n_classes)
+    rows = np.arange(n_batch, dtype=np.intp)[:, None] * (n_classes + 1)
+    arrays = tuple(
+        np.concatenate([(rows + level[i]).ravel() for level in levels])
+        if levels else np.empty(0, dtype=np.intp)
+        for i in range(3)
+    )
+    for a in arrays:
+        a.setflags(write=False)
+    stops = list(itertools.accumulate(n_batch * level[0].size for level in levels))
+    stages = tuple(zip([0, *stops[:-1]], stops))
+    return (*arrays, stages)
+
+
+_cached_stage_plan = functools.lru_cache(maxsize=16)(_build_stage_plan)
+
+
+def _stage_plan(n_batch: int, n_classes: int):
+    """:func:`_build_stage_plan`, cached per shape unless the shape is large."""
+    if n_batch * (n_classes + 1) <= _STAGE_PLAN_MAX_CELLS:
+        return _cached_stage_plan(n_batch, n_classes)
+    return _build_stage_plan(n_batch, n_classes)
+
+
+def _draw_levels(rng, draws: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """NumPy-tier body of :meth:`SamplerEngine.multivariate_batch` on checked input.
+
+    ``sizes`` is a ``(B, L)`` int64 array with ``L >= 1`` and ``draws`` the
+    ``B`` draw counts, none above its row's total.  Returns a ``(B, L)``
+    view.  Column level by column level, every split with both sides
+    non-empty and ``0 < nsample < ngood + nbad`` draws from ``h(nsample,
+    ngood, nbad)`` -- all of a level's draws in one vectorized call, in
+    batch-major order -- and every other split has the single outcome
+    ``min(nsample, ngood)``: no draws, an empty left class, a full draw or
+    an empty right class.
+    """
+    n_batch, n_classes = sizes.shape
+    los, mids, his, stages = _stage_plan(n_batch, n_classes)
+    # Prefix sums and draw counts share the row stride n_classes + 1, so
+    # one set of flat indices addresses both.
+    prefix = np.zeros((n_batch, n_classes + 1), dtype=np.int64)
+    np.cumsum(sizes, axis=1, out=prefix[:, 1:])
+    prefix = prefix.ravel()
+    base = prefix[los]
+    ngood = prefix[mids]
+    ngood -= base
+    total = prefix[his]
+    total -= base
+    del prefix, base  # freed before the level loop allocates its own
+    # A split draws iff 0 < nsample < limit: its total, or 0 if a side is empty.
+    limit = total
+    limit[(ngood == 0) | (ngood == total)] = 0
+    # Slot lo holds the draws of the segment starting at class lo.
+    counts = np.zeros((n_batch, n_classes + 1), dtype=np.int64)
+    counts[:, 0] = draws
+    flat = counts.ravel()
+    for start, stop in stages:
+        lo = los[start:stop]
+        nsample = flat[lo]
+        good = ngood[start:stop]
+        left = np.minimum(nsample, good)
+        draw = nsample > 0
+        draw &= nsample < limit[start:stop]
+        if draw.any():
+            good = good[draw]
+            left[draw] = rng.hypergeometric(good, limit[start:stop][draw] - good, nsample[draw])
+        flat[lo] = left
+        nsample -= left
+        flat[mids[start:stop]] = nsample
+    return counts[:, :n_classes]
 
 
 class SamplerEngine:
@@ -183,7 +274,7 @@ class SamplerEngine:
         are vectorized unconditionally -- one ``Generator.hypergeometric``
         kernel call regardless of how small ``size`` is (there is no
         scalar-loop fallback), with the same trivial-case handling as
-        :meth:`_hypergeometric_block` and a
+        the batched kernels and a
         :class:`~repro.rng.counting.CountingRNG` charged by the broadcast
         size of the call.  The scalar methods (``"hin"``/``"hrua"``) keep
         the loop over :func:`repro.core.hypergeometric.sample`, which is
@@ -222,26 +313,6 @@ class SamplerEngine:
                 "(use method='auto' or 'numpy' with strategy='batched')"
             )
 
-    @staticmethod
-    def _hypergeometric_block(rng, ngood: np.ndarray, nbad: np.ndarray, nsample: np.ndarray) -> np.ndarray:
-        """Elementwise ``h(nsample, ngood, nbad)`` draws, trivial cases masked.
-
-        Degenerate entries (no draws, an empty colour class, or a draw of the
-        whole urn) are resolved deterministically without touching the random
-        stream, mirroring the scalar samplers' trivial-case handling.
-        """
-        full = nsample >= ngood + nbad
-        out = np.where(full, ngood, 0).astype(np.int64)
-        forced_zero = (ngood == 0) | (nsample == 0)
-        forced_all = (nbad == 0) & ~forced_zero & ~full
-        out[forced_all] = nsample[forced_all]
-        random_mask = ~(full | forced_zero | forced_all)
-        if np.any(random_mask):
-            out[random_mask] = rng.hypergeometric(
-                ngood[random_mask], nbad[random_mask], nsample[random_mask]
-            )
-        return out
-
     def multivariate_batch(self, n_draws, class_sizes, rng=None) -> np.ndarray:
         """Draw a batch of independent multivariate hypergeometric vectors.
 
@@ -250,8 +321,8 @@ class SamplerEngine:
         share the balanced binary splitting tree over the ``L`` classes, so
         every tree level costs one vectorized ``Generator.hypergeometric``
         call covering all batch rows and all same-level segments at once:
-        ``O(log L)`` kernel calls in total.  The tree's index plan is built
-        once per ``L`` and reused (see :func:`_split_plan`).
+        ``O(log L)`` kernel calls in total.  The flat gather plan is built
+        once per shape and reused (see :func:`_stage_plan`).
         """
         self._check_batched_method()
         sizes = np.asarray(class_sizes, dtype=np.int64)
@@ -275,20 +346,7 @@ class SamplerEngine:
         compiled = self._resolve_tier().multivariate_batch(rng, draws, sizes)
         if compiled is not None:
             return compiled
-
-        prefix = np.zeros((n_batch, n_classes + 1), dtype=np.int64)
-        np.cumsum(sizes, axis=1, out=prefix[:, 1:])
-        # Column lo holds the draws of the segment starting at class lo.
-        counts = np.zeros((n_batch, n_classes), dtype=np.int64)
-        counts[:, 0] = draws
-        for los, mids, his in _split_plan(n_classes):
-            split_draws = counts[:, los]
-            into_left = self._hypergeometric_block(
-                rng, prefix[:, mids] - prefix[:, los], prefix[:, his] - prefix[:, mids], split_draws
-            )
-            counts[:, los] = into_left
-            counts[:, mids] = split_draws - into_left
-        return counts
+        return np.ascontiguousarray(_draw_levels(rng, draws, sizes))
 
     def multivariate(self, n_draws: int, class_sizes, rng=None) -> np.ndarray:
         """One multivariate hypergeometric sample via the batched kernel."""
@@ -305,8 +363,9 @@ class SamplerEngine:
         Algorithm 4; each split's multivariate draw uses the balanced
         column-splitting factorisation), evaluated level by level so that
         every level of the row tree costs ``O(log P')`` vectorized NumPy
-        calls over all same-level blocks at once.  The row and column trees'
-        index plans are built once per width and reused across calls.
+        calls over all same-level blocks at once.  The row tree's plan is
+        built once per height and each row level's column plan once per
+        shape, and reused across calls.
         """
         self._check_batched_method()
         rows = check_vector_of_nonnegative_ints(row_sums, "row_sums")
@@ -326,8 +385,9 @@ class SamplerEngine:
         matrix[0] = cols
         for los, mids, his in _split_plan(rows.size):
             caps = matrix[los]
-            to_up = self.multivariate_batch(row_prefix[his] - row_prefix[mids], caps, rng)
-            matrix[los] = caps - to_up
+            to_up = _draw_levels(rng, row_prefix[his] - row_prefix[mids], caps)
+            caps -= to_up
+            matrix[los] = caps
             matrix[mids] = to_up
         return matrix
 

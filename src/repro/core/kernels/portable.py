@@ -250,11 +250,12 @@ def _hyp(words, cur, good, bad, sample):
 
 @jit
 def fill_hypergeometric(words, cur, ngood, nbad, nsample, out):
-    """Elementwise ``Generator.hypergeometric`` with the engine's trivial masks.
+    """Elementwise ``Generator.hypergeometric`` with the engine's trivial rule.
 
-    Degenerate entries are resolved without touching the word stream and the
-    rest draw in flat index order -- exactly the consumption of
-    ``SamplerEngine._hypergeometric_block`` on the flattened arrays.
+    Degenerate entries (no draws, an empty class, a full draw) are resolved
+    without touching the word stream and the rest draw in flat index order
+    -- exactly the consumption of one column level of the NumPy tier's
+    ``engine._draw_levels`` on the same entries.
     """
     for i in range(out.shape[0]):
         w = ngood[i]

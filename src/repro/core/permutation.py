@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 
-def local_shuffle(values: np.ndarray, rng, kernels=None) -> np.ndarray:
+def local_shuffle(values: np.ndarray, rng, kernels=None, *, copy: bool = True) -> np.ndarray:
     """Return a uniformly shuffled copy of ``values`` using ``rng``.
 
     Accepts both plain NumPy generators and
@@ -60,16 +60,18 @@ def local_shuffle(values: np.ndarray, rng, kernels=None) -> np.ndarray:
     tier draws the Fisher-Yates permutation with a jitted kernel and gathers
     ``values`` through it -- bit-identical to ``rng.shuffle`` on the same
     seed -- and any tier that declines falls back to the in-place shuffle.
+    With ``copy=False`` the caller gives ``values`` up: the in-place shuffle
+    then permutes and returns it without a second buffer.
     """
     arr = np.asarray(values)
     if arr.shape[0] <= 1:
-        return arr.copy()
+        return arr.copy() if copy else arr
     from repro.core.kernels import resolve_kernels
 
     perm = resolve_kernels(kernels).permutation(rng, arr.shape[0])
     if perm is not None:
         return arr[perm]
-    out = arr.copy()
+    out = arr.copy() if copy else arr
     rng.shuffle(out)
     return out
 
@@ -179,12 +181,13 @@ def parallel_permutation_program(
     received = ctx.comm.alltoallv(pieces)
     ctx.comm.barrier()
 
-    # Superstep 3: concatenate and shuffle locally.
+    # Superstep 3: concatenate and shuffle locally.  ``incoming`` is this
+    # rank's own fresh array, so it is shuffled in place.
     if received:
         incoming = np.concatenate(received)
     else:  # pragma: no cover - a machine always has >= 1 processor
         incoming = np.empty(0, dtype=local.dtype)
-    result = local_shuffle(incoming, ctx.rng, kernels=tier)
+    result = local_shuffle(incoming, ctx.rng, kernels=tier, copy=False)
     ctx.log_compute(len(result))
     ctx.cost.allocate(len(result))
     return result

@@ -20,13 +20,15 @@ of every bulk NumPy payload travel through a
 * **Multi-consumer dispatch** (``encode_shared``): the worker pool's bulk
   run arguments are written into the transport's **standing dispatch
   segment** -- one copy per run, not one per rank, into pages that are
-  already in place.  Every rank attaches it and sends a *release receipt*
-  once its last view into it has been garbage collected; the segment is
-  rewritten only after all ``n_consumers`` have released it.  A segment
-  still held when the next run dispatches (a program kept a view), or of
-  the wrong size, is *replaced*: its name is unlinked, the encoder's
-  mapping closed and a new standing segment created, while the holders'
-  mappings keep the old pages alive.
+  already in place.  Every rank maps it once and keeps the mapping across
+  runs, and sends a *release receipt* once its last view into a run's
+  write has been garbage collected; the segment is rewritten only after
+  all ``n_consumers`` have released it.  A segment still held when the
+  next run dispatches (a program kept a view), or of the wrong size, is
+  *replaced*: its name is unlinked, the encoder's mapping closed and a
+  new standing segment created, while the holders' mappings keep the old
+  pages alive.  A rank drops its mapping of a replaced segment at its next
+  decode.
 
 Lifecycle discipline
 --------------------
@@ -572,11 +574,14 @@ class SharedMemoryTransport(PayloadTransport):
         #: The standing dispatch segment ``encode_shared`` writes into
         #: (created on first use, replaced when held or ill-sized).
         self._standing: _StandingSegment | None = None
+        #: A consumer's cached mapping of the latest standing segment it
+        #: decoded: ``(pid, name, _RingAttachment)``.
+        self._attached: tuple | None = None
 
     def __getstate__(self) -> dict:
         # A copy pickled into a spawned worker must not attach (and so pin)
         # the encoder's standing segment: it starts without one.
-        return {**self.__dict__, "_standing": None}
+        return {**self.__dict__, "_standing": None, "_attached": None}
 
     def cache_key(self) -> tuple:
         return ("sharedmem", self.min_bytes, self.ring_bytes,
@@ -782,33 +787,56 @@ class SharedMemoryTransport(PayloadTransport):
     def _decode_multi(self, record, ack=None):
         """Decode one consumer's copy of a standing-segment record.
 
-        Attaches the segment *without unlinking it* (the encoder owns the
-        name).  Once every returned view has been garbage collected the
-        mapping is closed and ``ack((name, use))`` releases this
-        consumer's hold on the write it read.
+        The views come from this process's cached mapping of the segment
+        (see :meth:`_attach_standing`), so a warm rank maps and faults in
+        the pages once, not on every run.  Once every returned view has
+        been garbage collected, ``ack((name, use))`` releases this
+        consumer's hold on the write it read; the mapping stays.
         """
         _, name, use, offsets, inner = record
-        try:
-            seg = _shm_module.SharedMemory(name=name)
-        except FileNotFoundError:
-            raise CommunicationError(
-                f"dispatch segment {name!r} vanished before it was "
-                "received (the run was probably aborted)"
-            ) from None
-        lease = _SegmentLease(seg, len(offsets))
+        attachment = self._attach_standing(name)
         release = None if ack is None else _slot_release(ack, name, use,
                                                          len(offsets))
 
         def resolve(ref):
             _, index, dtype, shape = ref
-            view = np.ndarray(shape, dtype=dtype, buffer=seg.buf,
+            view = np.ndarray(shape, dtype=dtype, buffer=attachment.shm.buf,
                               offset=offsets[index])
-            lease.watch(view)
+            attachment.watch(view)
             if release is not None:
                 weakref.finalize(view, release)
             return view
 
         return walk_decode(inner, resolve)
+
+    def _attach_standing(self, name: str) -> _RingAttachment:
+        """This process's mapping of the standing segment ``name``, kept across runs.
+
+        Attaches *without unlinking* (the encoder owns the name).  A record
+        naming another segment -- the encoder replaced it -- drops the
+        cached mapping first; a dropped mapping closes once its last view
+        is gone.
+        """
+        cached = self._attached
+        if cached is not None and cached[:2] == (os.getpid(), name):
+            return cached[2]
+        self._drop_attached()
+        try:
+            shm = _shm_module.SharedMemory(name=name)
+        except FileNotFoundError:
+            raise CommunicationError(
+                f"dispatch segment {name!r} vanished before it was "
+                "received (the run was probably aborted)"
+            ) from None
+        attachment = _RingAttachment(shm)
+        self._attached = (os.getpid(), name, attachment)
+        return attachment
+
+    def _drop_attached(self) -> None:
+        cached, self._attached = self._attached, None
+        # A forked copy's inherited entry belongs to the parent: just forget it.
+        if cached is not None and cached[0] == os.getpid():
+            cached[2].retire()
 
     # -- acknowledgements ----------------------------------------------------
     def ring_ack(self, receipt) -> None:
@@ -858,11 +886,13 @@ class SharedMemoryTransport(PayloadTransport):
 
         Called at fabric shutdown and heal: a consumer that crashed holds
         the segment forever, and the name must not outlive the fleet.  The
-        next ``encode_shared`` creates a new one.
+        next ``encode_shared`` creates a new one.  This process's consumer
+        mapping, if it decoded one, is dropped too.
         """
         standing, self._standing = self._standing, None
         if standing is not None:
             standing.retire()
+        self._drop_attached()
 
     # -- ring lifecycle -----------------------------------------------------
     def ring_epoch(self, name: str) -> None:

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import commmatrix as cm
 from repro.core import matrix_distribution as md
 from repro.core import multivariate as mv
+from repro.core.engine import _split_plan, get_engine
+from repro.rng.counting import CountingRNG
 
 class_sizes_strategy = st.lists(st.integers(min_value=0, max_value=25), min_size=1, max_size=8).filter(
     lambda sizes: sum(sizes) > 0
@@ -92,3 +94,66 @@ class TestMatrixProperties:
         expected = md.expected_matrix(rows, cols)
         assert np.allclose(expected.sum(axis=1), rows)
         assert np.allclose(expected.sum(axis=0), cols)
+
+
+def _four_mask_block(rng, ngood, nbad, nsample):
+    """The batched sampler's trivial-case masks before the single min rule."""
+    full = nsample >= ngood + nbad
+    out = np.where(full, ngood, 0).astype(np.int64)
+    forced_zero = (ngood == 0) | (nsample == 0)
+    forced_all = (nbad == 0) & ~forced_zero & ~full
+    out[forced_all] = nsample[forced_all]
+    random_mask = ~(full | forced_zero | forced_all)
+    if np.any(random_mask):
+        out[random_mask] = rng.hypergeometric(
+            ngood[random_mask], nbad[random_mask], nsample[random_mask]
+        )
+    return out
+
+
+def _four_mask_batch(draws, sizes, rng):
+    """Reference level loop of ``multivariate_batch`` on the four masks."""
+    n_batch, n_classes = sizes.shape
+    prefix = np.zeros((n_batch, n_classes + 1), dtype=np.int64)
+    np.cumsum(sizes, axis=1, out=prefix[:, 1:])
+    counts = np.zeros((n_batch, n_classes), dtype=np.int64)
+    counts[:, 0] = draws
+    for los, mids, his in _split_plan(n_classes):
+        split_draws = counts[:, los]
+        into_left = _four_mask_block(
+            rng, prefix[:, mids] - prefix[:, los], prefix[:, his] - prefix[:, mids], split_draws
+        )
+        counts[:, los] = into_left
+        counts[:, mids] = split_draws - into_left
+    return counts
+
+
+@st.composite
+def trivial_heavy_grid(draw):
+    """A (batch, classes) urn grid rich in empty classes, with full and empty draws."""
+    n_batch = draw(st.integers(min_value=1, max_value=6))
+    n_classes = draw(st.integers(min_value=1, max_value=9))
+    cell = st.sampled_from([0, 0, 0, 1, 2, 3, 7, 40, 1000])
+    sizes = np.array(
+        [[draw(cell) for _ in range(n_classes)] for _ in range(n_batch)], dtype=np.int64
+    )
+    draws = np.array(
+        [draw(st.sampled_from([0, total, total // 2, draw(st.integers(0, total))]))
+         for total in sizes.sum(axis=1).tolist()],
+        dtype=np.int64,
+    )
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return draws, sizes, seed
+
+
+class TestTrivialRule:
+    @given(grid=trivial_heavy_grid())
+    @settings(max_examples=200, deadline=None)
+    def test_min_rule_matches_the_four_masks(self, grid):
+        draws, sizes, seed = grid
+        new_rng = CountingRNG(np.random.default_rng(seed))
+        old_rng = CountingRNG(np.random.default_rng(seed))
+        new = get_engine(kernels="numpy").multivariate_batch(draws, sizes, new_rng)
+        old = _four_mask_batch(draws, sizes, old_rng)
+        assert np.array_equal(new, old)
+        assert (new_rng.uniforms_drawn, new_rng.calls) == (old_rng.uniforms_drawn, old_rng.calls)

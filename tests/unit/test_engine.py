@@ -9,7 +9,15 @@ from scipy import stats as scipy_stats
 from repro.core import commmatrix as cm
 from repro.core import hypergeometric as hg
 from repro.core import multivariate as mv
-from repro.core.engine import VALID_METHODS, SamplerEngine, _split_plan, get_engine
+from repro.core.engine import (
+    _STAGE_PLAN_MAX_CELLS,
+    VALID_METHODS,
+    SamplerEngine,
+    _cached_stage_plan,
+    _split_plan,
+    _stage_plan,
+    get_engine,
+)
 from repro.rng.counting import CountingRNG
 from repro.util.errors import ValidationError
 
@@ -193,6 +201,37 @@ class TestBatchedMatrix:
             assert len(plan) == (n - 1).bit_length()
             assert _split_plan(n) is plan
 
+    def test_stage_plan_lays_out_the_split_plan_per_batch_row(self):
+        for n_batch, n_classes in [(0, 4), (1, 1), (1, 2), (3, 5), (4, 256), (2, 7)]:
+            los, mids, his, stages = _stage_plan(n_batch, n_classes)
+            levels = _split_plan(n_classes)
+            assert len(stages) == len(levels)
+            # The stage blocks tile the index arrays in level order.
+            assert [0] + [stop for _, stop in stages] == [start for start, _ in stages] + [los.size]
+            rows = np.arange(n_batch)[:, None] * (n_classes + 1)
+            for (start, stop), level in zip(stages, levels):
+                for got, want in zip((los, mids, his), level):
+                    assert np.array_equal(got[start:stop], (rows + want).ravel())
+
+    def test_stage_plan_cache_is_bounded_and_read_only(self):
+        _cached_stage_plan.cache_clear()
+        plan = _stage_plan(4, 256)
+        assert _stage_plan(4, 256) is plan
+        for index in plan[:3]:
+            assert not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[0] = 1
+        maxsize = _cached_stage_plan.cache_info().maxsize
+        assert maxsize is not None
+        for n_classes in range(2, maxsize + 20):
+            _stage_plan(2, n_classes)
+        assert _cached_stage_plan.cache_info().currsize == maxsize
+        # A shape above the cell limit is built per call and never cached.
+        n_batch = _STAGE_PLAN_MAX_CELLS // 8 + 1
+        misses = _cached_stage_plan.cache_info().misses
+        assert _stage_plan(n_batch, 7) is not _stage_plan(n_batch, 7)
+        assert _cached_stage_plan.cache_info().misses == misses
+
     def test_counting_rng_charges_vectorized_draws(self):
         rng = CountingRNG(np.random.default_rng(0))
         rows = cols = np.full(8, 20, dtype=np.int64)
@@ -222,6 +261,24 @@ def _square(width, k):
     return rows, _spread(int(rows.sum()), width)
 
 
+def _large(width, k):
+    """Deterministic sums from 10**3 to about 10**6; every 61st entry is 0."""
+    return np.array(
+        [0 if (i + k) % 61 == 0 else 1000 + ((i * 7919 + k) % 1000) ** 2 for i in range(width)],
+        dtype=np.int64,
+    )
+
+
+def _rescaled(weights, total):
+    """Integers proportional to ``weights`` that sum to ``total``; zeros stay 0."""
+    weights = [int(w) for w in weights]
+    out = [w * total // sum(weights) for w in weights]
+    nonzero = [i for i, w in enumerate(weights) if w]
+    for i in nonzero[: total - sum(out)]:
+        out[i] += 1
+    return np.array(out, dtype=np.int64)
+
+
 #: name -> (row_sums, col_sums, seed) for ``sample_matrix_batched``.
 _MATRIX_CASES = {
     "w1": ([7], [7], 1),
@@ -232,6 +289,7 @@ _MATRIX_CASES = {
     "zero-capacities": ([4, 5, 6, 7, 8], [0, 15, 0, 0, 15, 0], 13),
     "trivial-heavy": ([0, 1, 0, 0, 1, 30, 0, 1], [0, 2, 31, 0, 0], 14),
     "empty": ([], [], 15),
+    "large-marginals": (_large(256, 3), _rescaled(_large(256, 17), int(_large(256, 3).sum())), 16),
 }
 
 
@@ -246,6 +304,11 @@ _BATCH_CASES = {
     "zero-rows": (np.zeros(0, dtype=np.int64), np.zeros((0, 5), dtype=np.int64), 120),
     "zero-capacities": ([3, 0, 5], [[0, 3, 0, 0], [0, 0, 0, 0], [4, 0, 5, 0]], 121),
     "trivial-heavy": ([0, 12, 1, 6, 2], [[5, 7], [5, 7], [0, 1], [6, 0], [3, 4]], 122),
+    "large-marginals": (
+        np.array([int(_large(256, r).sum()) // 3 for r in range(64)], dtype=np.int64),
+        np.array([_large(256, r) for r in range(64)], dtype=np.int64),
+        123,
+    ),
 }
 
 
@@ -390,6 +453,15 @@ _GOLDEN = {
         1, 1,
     ),
     ("batch", "trivial-heavy"): ([[0, 0], [5, 7], [0, 1], [6, 0], [1, 1]], 1, 1),
+    # Generated before the column levels ran on the per-shape stage plan.
+    ("matrix", "large-marginals"): (
+        "17a77027e25d088f61febe22965403bc637389fe637e9e39684443255702971b",
+        62616, 64,
+    ),
+    ("batch", "large-marginals"): (
+        "c0362048c3bb172e9436f580fc20751f476a3efa7cbf86a921a32ac5fae77d95",
+        16051, 8,
+    ),
 }
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import permutation
 from repro.core.blocks import BlockDistribution
 from repro.core.permutation import (
     local_shuffle,
@@ -28,6 +29,29 @@ class TestLocalShuffle:
     def test_empty_and_single(self, rng):
         assert local_shuffle(np.empty(0), rng).size == 0
         assert local_shuffle(np.array([7]), rng).tolist() == [7]
+
+    def test_copy_false_shuffles_the_input_itself(self):
+        data = np.arange(100)
+        out = local_shuffle(data, np.random.default_rng(5), kernels="numpy", copy=False)
+        assert out is data
+        assert np.array_equal(out, local_shuffle(np.arange(100), np.random.default_rng(5)))
+
+    def test_final_step_shuffles_incoming_without_a_second_buffer(self, monkeypatch):
+        calls = []
+        shuffle = permutation.local_shuffle
+
+        def spy(values, rng, **kwargs):
+            out = shuffle(values, rng, **kwargs)
+            calls.append((kwargs.get("copy", True), out is values))
+            return out
+
+        expected = random_permutation(np.arange(1000), 2, backend="thread", seed=3, kernels="numpy")
+        monkeypatch.setattr(permutation, "local_shuffle", spy)
+        out = random_permutation(np.arange(1000), 2, backend="thread", seed=3, kernels="numpy")
+        assert np.array_equal(out, expected)
+        # Per rank: the first shuffle copies its block, the final one
+        # permutes the rank's concatenated ``incoming`` in place.
+        assert sorted(calls) == [(False, True)] * 2 + [(True, False)] * 2
 
 
 class TestPermuteDistributed:

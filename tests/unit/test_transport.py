@@ -534,10 +534,57 @@ class TestMultiConsumerSegments:
         transport = self._transport()
         record = transport.encode_shared(np.arange(512, dtype=np.int64), 1)
         copy = pickle.loads(pickle.dumps(transport))
-        assert copy._standing is None
+        assert copy._standing is None and copy._attached is None
         assert copy.cache_key() == transport.cache_key()
         transport.retire_shared()
         assert record[1] not in shm_segments()
+
+    def test_consumer_maps_the_standing_segment_once(self, monkeypatch):
+        # A rank decodes with its own transport copy; warm runs reuse its
+        # mapping, and a replaced segment drops the old one.
+        import types
+
+        from repro.pro.backends import sharedmem
+
+        attached = []
+        real = sharedmem._shm_module.SharedMemory
+
+        def counting(*args, **kwargs):
+            if not kwargs.get("create"):
+                attached.append(kwargs["name"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sharedmem, "_shm_module", types.SimpleNamespace(SharedMemory=counting))
+        encoder, consumer = self._transport(), self._transport()
+        receipts = []
+        first = encoder.encode_shared(np.arange(512, dtype=np.int64), 1)
+        out = consumer.decode(first, ack=receipts.append)
+        assert np.array_equal(out, np.arange(512))
+        del out
+        gc.collect()
+        assert receipts == [(first[1], first[2])]  # views dead: released
+        encoder.ring_ack(receipts.pop())
+        second = encoder.encode_shared(np.arange(512, 1024, dtype=np.int64), 1)
+        assert second[1] == first[1]
+        kept = consumer.decode(second, ack=receipts.append)
+        assert np.array_equal(kept, np.arange(512, 1024))
+        assert attached == [first[1]]  # one attach for both runs
+        old = consumer._attached[2]
+        # ``kept`` still holds the segment, so the next write replaces it.
+        third = encoder.encode_shared(np.arange(2048, dtype=np.int64), 1)
+        assert third[1] != first[1]
+        assert np.array_equal(consumer.decode(third), np.arange(2048))
+        assert attached == [first[1], third[1]]
+        assert old.shm is not None and np.array_equal(kept, np.arange(512, 1024))
+        del kept
+        gc.collect()
+        assert old.shm is None  # the dropped mapping closed with its last view
+        assert receipts == [(second[1], second[2])]
+        new = consumer._attached[2]
+        consumer.retire_shared()
+        assert consumer._attached is None and new.shm is None
+        encoder.retire_shared()
+        assert third[1] not in shm_segments()
 
     def test_small_payloads_stay_inband_and_reusable(self):
         transport = self._transport()
